@@ -18,6 +18,11 @@ from repro.kdtree.dynamic_reference import scratch_dynamic_query
 # of a check small, so checks never set the workload process's peak memory.
 CHUNK = 64
 
+# Central differences: the step, and the tolerance ``ATOL + RTOL * |g|``.
+EPS = 1e-7
+RTOL = 1e-4
+ATOL = 1e-6
+
 
 def _d2(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Squared distances summed coordinate by coordinate, the same
@@ -117,23 +122,20 @@ def gradient_problems(
     loss_at: Callable[[], float],
     entries: Sequence[Tuple[np.ndarray, tuple, float]],
     wanted: int = 3,
-    eps: float = 1e-7,
-    rtol: float = 1e-4,
-    atol: float = 1e-6,
     label: str = "",
 ) -> List[str]:
     """Compare analytic gradient entries with central differences.
 
     ``entries`` holds candidate ``(parameter array, index, analytic
-    gradient)`` triples; each array is perturbed in place by ``±eps``
+    gradient)`` triples; each array is perturbed in place by ``±EPS``
     around ``index`` and restored exactly, and ``loss_at()`` recomputes
     the scalar loss.  Central differences mean nothing across a kink, and
-    ReLUs and max-pools put kinks everywhere: with a kink within ``eps``
+    ReLUs and max-pools put kinks everywhere: with a kink within ``EPS``
     the one-sided slopes differ by (a share of) its jump, and the central
     difference sits half that gap from either slope.  So an entry whose
     one-sided slopes differ by more than twice the tolerance is skipped —
     no kink small enough to pass this can push the central difference past
-    the tolerance.  On a smooth loss the slopes differ by ``eps`` times the
+    the tolerance.  On a smooth loss the slopes differ by ``EPS`` times the
     curvature, ~1e-7 here, well inside it.  The first ``wanted`` smooth
     entries are compared; finding fewer is itself a problem.
     """
@@ -142,17 +144,17 @@ def gradient_problems(
     for data, index, analytic in entries:
         original = data[index]
         at = loss_at()
-        data[index] = original + eps
+        data[index] = original + EPS
         up = loss_at()
-        data[index] = original - eps
+        data[index] = original - EPS
         down = loss_at()
         data[index] = original
-        right, left = (up - at) / eps, (at - down) / eps
+        right, left = (up - at) / EPS, (at - down) / EPS
         numeric = (right + left) / 2
-        if abs(right - left) > 2 * (atol + rtol * abs(numeric)):
+        if abs(right - left) > 2 * (ATOL + RTOL * abs(numeric)):
             continue
         compared += 1
-        if abs(numeric - analytic) > atol + rtol * max(abs(numeric), abs(analytic)):
+        if abs(numeric - analytic) > ATOL + RTOL * max(abs(numeric), abs(analytic)):
             problems.append(
                 f"{label}: gradient at {index} is {analytic:.6g}, central difference {numeric:.6g}"
             )

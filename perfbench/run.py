@@ -5,9 +5,10 @@
         --seed N --seconds S --trace 0|1
 
 Each workload runs in fresh interpreters with one BLAS thread.  With
-``--trace 0`` the workload is set up three times, in three processes, and
+``--trace 0`` the workload is set up five times, in five processes, and
 ``setup_s`` is their median; the last process then times ops for
-``--seconds`` of op time and reports the end-to-end metrics.  With
+``--seconds`` of op time (and at least the workload's ``min_ops``) and
+reports the end-to-end metrics.  With
 ``--trace 1`` one process runs with the layer wrappers of
 ``perfbench/tracing.py`` installed and reports the per-layer metrics.
 Every metric is printed by name and unit; the last line of standard
@@ -29,7 +30,7 @@ from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("hwsim", "train", "serve", "drift")
-SETUPS = 3  # set-ups per untraced run; setup_s is their median
+SETUPS = 5  # set-ups per untraced run; setup_s is their median
 SETUP_TIMEOUT_S = 60
 RUN_TIMEOUT_S = 170
 
@@ -102,10 +103,14 @@ def measure(workload: str, seed: int, seconds: float, trace: int, spec: dict) ->
         print(f"{workload}: notes {json.dumps(result['notes'], sort_keys=True)}")
     print(f"{workload}: ops_attempted = {result['ops']}")
     print(f"{workload}: ops_failed = {result['failed']}")
+    if result["failed_probes"]:
+        print(f"{workload}: {result['failed_probes']} of the failed ops are probes of a known "
+              "fault (perfbench/README.md); they are not timed")
     for name, m in metrics.items():
         print(f"{workload}: {name} = {m['value']:.6g} {m['unit']}")
     return {
-        "correct": result["failed"] == 0,
+        # Only a failed op that is not a probe makes the outputs wrong.
+        "correct": result["failed"] == result["failed_probes"],
         "attempted": result["ops"],
         "failed": result["failed"],
         "metrics": metrics,

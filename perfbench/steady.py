@@ -9,9 +9,10 @@ own seed.  For every end-to-end metric this prints the median, the first
 and third quartiles (``statistics.quantiles(values, n=4)``) and the spread
 ``(q3 - q1) / median`` against the metric's bound in ``BENCHMARK.json``:
 ``steady`` below a third of the bound, ``within`` below the bound, ``WIDE``
-above it (``setup_s`` has no spread limit).  ``--out`` saves the raw
-values; ``--compare`` flags each median worse than an earlier set's by
-more than its bound.  It also prints each run's share of failed ops.
+above it.  ``--out`` saves the raw values; ``--compare`` flags each median
+worse than an earlier set's by more than its bound (``WORSE``) and each
+share of failed ops that differs from the earlier set's.  The last line
+gives the worst verdict of all.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+VERDICTS = ("steady", "within", "WIDE", "WORSE")  # from best to worst
 
 
 def run_once(workload: str, seed: int, seconds) -> dict:
@@ -57,7 +59,7 @@ def main() -> int:
     earlier = json.loads(args.compare.read_text()) if args.compare else {}
 
     raw = {}
-    worst = "steady"
+    verdicts = ["steady"]
     for workload in args.workloads:
         runs, walls = [], []
         for k in range(args.runs):
@@ -65,33 +67,34 @@ def main() -> int:
             runs.append(run_once(workload, args.seed0 + k, args.seconds))
             walls.append(time.perf_counter() - t0)
         shares = sorted({r["failed"] / r["attempted"] for r in runs})
+        raw.setdefault("failed_shares", {})[workload] = shares
         attempted = [r["attempted"] for r in runs]
         print(f"{workload}: {args.runs} runs, ops attempted {min(attempted)}-{max(attempted)}, "
               f"failed shares {shares}, wall per run {min(walls):.1f}-{max(walls):.1f} s")
+        if workload in earlier.get("failed_shares", {}) and earlier["failed_shares"][workload] != shares:
+            print(f"  failed shares differ from earlier {earlier['failed_shares'][workload]} WORSE")
+            verdicts.append("WORSE")
         raw[workload] = {}
         for m in spec["end_to_end"]:
             name, bound = m["name"], m["bound"]
             values = [r["metrics"][name]["value"] for r in runs]
             raw[workload][name] = values
             median, q1, q3, s = spread(values)
-            if name == "setup_s":
-                verdict = "no limit"
-            elif s < bound / 3:
-                verdict = "steady"
-            elif s <= bound:
-                verdict, worst = "within", "within" if worst == "steady" else worst
-            else:
-                verdict, worst = "WIDE", "WIDE"
+            verdict = "steady" if s < bound / 3 else "within" if s <= bound else "WIDE"
+            verdicts.append(verdict)
             line = (f"  {name:12s} median {median:10.4f} {m['unit']:4s} q1 {q1:10.4f} q3 {q3:10.4f} "
                     f"spread {s:6.3f} bound {bound:.2f} {verdict}")
             if workload in earlier and name in earlier[workload]:
                 before = statistics.median(earlier[workload][name])
                 change = (median - before) / before * (1 if m["better"] == "lower" else -1)
-                line += f"  vs earlier {change:+.3f}{' WORSE' if change > bound else ''}"
+                line += f"  vs earlier {change:+.3f}"
+                if change > bound:
+                    line += " WORSE"
+                    verdicts.append("WORSE")
             print(line, flush=True)
     if args.out:
         args.out.write_text(json.dumps(raw, indent=1) + "\n")
-    print(f"overall: {worst}")
+    print(f"overall: {max(verdicts, key=VERDICTS.index)}")
     return 0
 
 

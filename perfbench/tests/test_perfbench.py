@@ -28,16 +28,24 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 TINY_SECONDS = {"hwsim": 0.5, "train": 6.0, "serve": 0.3, "drift": 0.3}
 
 
+@pytest.fixture
+def few_ops(monkeypatch):
+    """Lets a run end after a few ops instead of each workload's ``min_ops``."""
+    for cls in workloads.WORKLOADS.values():
+        monkeypatch.setattr(cls, "min_ops", 2)
+
+
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
-def test_each_workload_runs_at_tiny_length(name):
+def test_each_workload_runs_at_tiny_length(name, few_ops):
     result = workloads.run_workload(name, 7, TINY_SECONDS[name], False, time.perf_counter())
     assert result["ops"] >= 1 and result["ops"] % workloads.WORKLOADS[name].round_size == 0
-    assert result["failed"] == 0
+    # Every probe fails (hwsim's Mesorasi exactness probe); nothing else does.
+    assert result["failed"] == result["failed_probes"] == result["ops"] - result["timed_ops"]
     for key in ("setup_s", "ops_per_s", "p50_ms", "tail_ms", "peak_rss_mb"):
         assert result[key] > 0, key
 
 
-def test_traced_run_reports_every_per_layer_metric():
+def test_traced_run_reports_every_per_layer_metric(few_ops):
     original = QueryService.submit
     result = workloads.run_workload("serve", 3, 0.2, True, time.perf_counter())
     names = {m["name"] for m in SPEC["per_layer"]}
@@ -47,7 +55,7 @@ def test_traced_run_reports_every_per_layer_metric():
     assert QueryService.submit is original  # wrappers removed afterwards
 
 
-def test_missing_entry_point_is_reported_not_fatal(monkeypatch):
+def test_missing_entry_point_is_reported_not_fatal(monkeypatch, few_ops):
     targets = dict(tracing.TARGETS, dyn_query=("repro.kdtree.dynamic", "DynamicKdTree.no_such_method"))
     monkeypatch.setattr(tracing, "TARGETS", targets)
     result = workloads.run_workload("drift", 3, 0.2, True, time.perf_counter())
@@ -129,6 +137,17 @@ def test_hwsim_reference_check_fires_on_corrupted_cycles():
         for call in recorder.calls:
             call[-1][2].report.lockstep_cycles += 1
     assert hwsim.reference_problems(0, inputs[0], outputs[1])
+
+
+def test_hwsim_probe_holds_mesorasi_to_exact_search():
+    hwsim = workloads.Hwsim(2)
+    assert [i for i in range(10) if hwsim.probe(i)] == [4, 9]
+    inputs = hwsim.prepare(4)
+    for other in (hwsim.prepare(9), workloads.Hwsim(3).prepare(4)):  # the same fixed cloud
+        assert other[1] == inputs[1] and np.array_equal(other[2], inputs[2])
+    results, recorders = hwsim.op(inputs)
+    assert len(results) == len(recorders) == 1
+    assert "counts differ from brute force" in " ".join(hwsim.check(4, inputs, (results, recorders)))
 
 
 def test_frame_check_fires_on_corrupted_frame():

@@ -64,12 +64,21 @@ class _Recorder:
 
 # ----------------------------------------------------------------------
 class Workload:
-    """Defaults: ops in rounds of one, every op checked, no end-of-run
-    checks, no simulated cycles."""
+    """Defaults: ops in rounds of one, every op timed and checked, no
+    end-of-run checks, no simulated cycles."""
 
     tail = 90  # percentile reported as tail_ms
     round_size = 1
+    # A run times at least this many ops, and peak_rss_mb is read right
+    # after the last of them, so the figure does not depend on how many
+    # ops the run's seconds allow.
+    min_ops = 100
     sim_cycles = 0  # accel.sim_cycles of the traced run
+
+    def probe(self, i: int) -> bool:
+        """Whether op ``i`` is a probe: an untimed op on fixed inputs whose
+        check fails on every run because of a known fault in the program."""
+        return False
 
     def checked(self, i: int) -> bool:
         return True
@@ -83,47 +92,59 @@ class Workload:
 
 # ----------------------------------------------------------------------
 class Hwsim(Workload):
-    """Figs. 14–17 suite point for PointNet++ (c) on a fresh seeded cloud."""
+    """Figs. 14–17 suite point for PointNet++ (c) on a fresh seeded cloud.
 
-    # Neighbor rows of ops 0-7 and of every 5th op after are checked by
-    # brute force; every 10th op also replays one seeded layer on the
-    # reference engine.
+    Every fifth op is a probe: Mesorasi ⟨0,–⟩ alone on one fixed cloud,
+    held to exact search.  ``ExhaustiveSplitSearchEngine`` routes each
+    query into one sub-tree and never backtracks, so it misses in-radius
+    neighbors on every cloud and the probe fails every round.  On the
+    seeded clouds Mesorasi is held to the approximate-search properties,
+    so the share of failed ops does not depend on the seed.
+    """
+
+    round_size = 5
+    # Neighbor rows of the suite points among ops 0-9 and every 5th op
+    # after are checked by brute force; every 10th op also replays one
+    # seeded layer on the reference engine.
     check_every = 10
     settings = (
         ("mesorasi", ApproxSetting(0, None)),
         ("ans", ApproxSetting(4, None)),
         ("ans_bce", ApproxSetting(4, 8)),
     )
-    cycle_ops = 8  # accel.sim_cycles sums the first 8 ops, a fixed input set
+    cycle_ops = 10  # accel.sim_cycles sums the suite points of ops 0-9, a fixed input set
+    probe_seed = 0  # the probe's cloud and sampling plan, the same for every --seed
 
     def __init__(self, seed: int):
         self.seed = seed
         self.hw = evaluation_hardware()
         self.spec = pointnetpp_cls_spec()
         self.sim_cycles = 0
-        self.mesorasi_rows = 0
-        self.mesorasi_short_rows = 0
+        self.probe_points = workload_points(self.spec.name, seed=self.probe_seed)
         self.op(self.prepare(-1))  # warm-up: first-call costs land in set-up
 
+    def probe(self, i: int) -> bool:
+        return i % self.round_size == self.round_size - 1
+
     def prepare(self, i: int):
+        if self.probe(i):
+            return True, self.probe_seed, self.probe_points
         s = _op_seed(self.seed, i)
-        return s, workload_points(self.spec.name, seed=s)
+        return False, s, workload_points(self.spec.name, seed=s)
 
     def op(self, inputs):
-        s, points = inputs
+        probe, s, points = inputs
         hw = self.hw
         session = SearchSession()
-        accelerators = [
-            make_mesorasi(hw, session=session),
-            PointCloudAccelerator(
-                hw, NeighborSearchEngine(hw, session=session),
-                elide_aggregation=False, session=session,
-            ),
-            PointCloudAccelerator(
-                hw, NeighborSearchEngine(hw, session=session),
-                elide_aggregation=True, session=session,
-            ),
-        ]
+        accelerators = [make_mesorasi(hw, session=session)]
+        if not probe:
+            accelerators += [
+                PointCloudAccelerator(
+                    hw, NeighborSearchEngine(hw, session=session),
+                    elide_aggregation=elide, session=session,
+                )
+                for elide in (False, True)
+            ]
         recorders = []
         for acc in accelerators:
             acc.search_engine = _Recorder(acc.search_engine)
@@ -136,12 +157,12 @@ class Hwsim(Workload):
         return results, recorders
 
     def checked(self, i: int) -> bool:
-        return i < self.cycle_ops or i % self.check_every in (0, 5)
+        return i < self.cycle_ops or i % self.check_every in (0, 5) or self.probe(i)
 
     def check(self, i: int, inputs, outputs) -> List[str]:
-        s, _points = inputs
+        probe, s, _points = inputs
         results, recorders = outputs
-        if i < self.cycle_ops:
+        if i < self.cycle_ops and not probe:
             self.sim_cycles += sum(r.cycles for r in results)
         problems: List[str] = []
         for layer, calls in zip(self.spec.layers, zip(*(rec.calls for rec in recorders))):
@@ -150,15 +171,10 @@ class Hwsim(Workload):
             for (name, _setting), (_t, _q, _r, _k, _st, (idx, counts, _res)) in zip(
                 self.settings, calls
             ):
-                # Mesorasi's engine searches one sub-tree per query, so it
-                # is held to the approximate-search properties too.
                 problems += checks.ball_rows_problems(
                     tree.points, queries, radius, idx, counts, expected,
-                    exact=False, label=f"op {i} {name} {layer.name}",
+                    exact=probe, label=f"op {i} {'probe ' * probe}{name} {layer.name}",
                 )
-                if name == "mesorasi":
-                    self.mesorasi_rows += len(counts)
-                    self.mesorasi_short_rows += int((counts < expected).sum())
         if i % self.check_every == 0:
             problems += self.reference_problems(i, s, recorders)
         return problems
@@ -185,12 +201,6 @@ class Hwsim(Workload):
             name = self.settings[variant][0]
             return [f"op {i} {name} {self.spec.layers[layer].name}: differs from the reference engine"]
         return []
-
-    def notes(self) -> Dict[str, object]:
-        return {
-            "mesorasi_rows_checked": self.mesorasi_rows,
-            "mesorasi_rows_short_of_brute_force": self.mesorasi_short_rows,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -396,8 +406,14 @@ class Drift(Workload):
     constant-size live list, because ``FrameDrift.step`` costs time in
     every slot ever allocated, which would make the untimed input
     generation outgrow the timed ops within one run.
+
+    The service never reuses a slot, so its memory grows with every frame;
+    ``min_ops`` fixes the frame after which ``peak_rss_mb`` is read.  The
+    benchmark itself keeps only the alive points, so its own share of the
+    figure stays constant.
     """
 
+    min_ops = 2000
     check_every = 200
     num_points = 2048
     churn = 0.01
@@ -415,49 +431,32 @@ class Drift(Workload):
         initial = FrameDrift(num_points=self.num_points, churn=self.churn, seed=seed).initial_points
         self.rng = np.random.default_rng([seed, 1])
         self.frame = 0
-        # Slot-space mirror of the cloud, kept by the benchmark itself:
-        # slots are handed out in insertion order and never reused.
-        self.coords = np.empty((4 * self.num_points, 3))
-        self.alive = np.zeros(4 * self.num_points, dtype=bool)
-        self.n = 0
-        self._append(initial)
+        # Slots are handed out in insertion order and never reused.
         self.live = np.arange(len(initial))  # slot ids of the alive points
+        self.live_coords = np.array(initial, dtype=np.float64)  # their coordinates
+        self.n = len(initial)  # slots handed out so far
         self.service = QueryService(SearchSession())
         self.handle = self.service.register_dynamic(initial)
         for i in range(-self.warm_frames, 0):
             self.op(self.prepare(i))
 
-    def _append(self, points: np.ndarray) -> None:
-        need = self.n + len(points)
-        if need > len(self.alive):
-            cap = max(need, 2 * len(self.alive))
-            coords = np.empty((cap, 3))
-            coords[: self.n] = self.coords[: self.n]
-            alive = np.zeros(cap, dtype=bool)
-            alive[: self.n] = self.alive[: self.n]
-            self.coords, self.alive = coords, alive
-        self.coords[self.n : need] = points
-        self.alive[self.n : need] = True
-        self.n = need
-
     def prepare(self, i: int):
         rng = self.rng
         k = max(1, int(round(self.churn * len(self.live))))
         picked = rng.choice(len(self.live), size=k, replace=False)
-        order = np.argsort(self.live[picked])
-        picked = picked[order]
+        picked = picked[np.argsort(self.live[picked])]  # removes in slot order
         removes = self.live[picked]
         angle = 0.13 * self.frame
         velocity = self.drift * np.array([np.cos(angle), np.sin(angle), 0.0])
-        inserts = self.coords[removes] + velocity + rng.normal(scale=self.jitter, size=(k, 3))
-        self.alive[removes] = False
+        inserts = self.live_coords[picked] + velocity + rng.normal(scale=self.jitter, size=(k, 3))
         self.live[picked] = np.arange(self.n, self.n + k)
-        self._append(inserts)
+        self.live_coords[picked] = inserts
+        self.n += k
         self.frame += 1
         requests = []
         for _ in range(self.requests_per_frame):
-            anchors = self.live[rng.integers(len(self.live), size=self.queries_per_request)]
-            queries = self.coords[anchors] + rng.normal(
+            anchors = rng.integers(len(self.live), size=self.queries_per_request)
+            queries = self.live_coords[anchors] + rng.normal(
                 scale=self.query_spread, size=(self.queries_per_request, 3)
             )
             requests.append((
@@ -479,9 +478,13 @@ class Drift(Workload):
 
     def check(self, i: int, inputs, results) -> List[str]:
         _mutation, requests = inputs
-        return checks.frame_problems(
-            self.coords[: self.n], self.alive[: self.n], requests, results, label=f"frame {i}"
-        )
+        # The slot space as the scratch rebuild reads it; dead slots'
+        # coordinates are never read.
+        coords = np.zeros((self.n, 3))
+        coords[self.live] = self.live_coords
+        alive = np.zeros(self.n, dtype=bool)
+        alive[self.live] = True
+        return checks.frame_problems(coords, alive, requests, results, label=f"frame {i}")
 
 
 WORKLOADS = {"hwsim": Hwsim, "train": Train, "serve": Serve, "drift": Drift}
@@ -501,6 +504,10 @@ def tail_ms(latencies: Sequence[float], pct: int) -> float:
     return 1e3 * float(np.percentile(latencies, pct))
 
 
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_workload(
     name: str,
     seed: int,
@@ -508,13 +515,14 @@ def run_workload(
     trace: bool,
     started: float,
     setup_only: bool = False,
-    log=sys.stderr,
 ) -> Dict[str, object]:
-    """Set up one workload, then time ops until ``seconds`` of op time.
+    """Set up one workload, then time ops until ``seconds`` of op time and
+    at least ``min_ops`` timed ops, in whole rounds.
 
     ``started`` is the clock reading at interpreter start, so set-up
-    includes imports.  Ops run in whole rounds.  Returns the run's raw
-    figures; per-layer figures only when ``trace`` is set.
+    includes imports.  Probe ops are run and checked but not timed.
+    Returns the run's raw figures; per-layer figures only when ``trace``
+    is set.
     """
     clock = time.perf_counter
     cls = WORKLOADS[name]
@@ -532,42 +540,55 @@ def run_workload(
         latencies: List[float] = []
         failed: Problems = {}
         busy = 0.0
+        rss = 0.0
         i = 0
-        while busy < seconds or i % cls.round_size:
+        while busy < seconds or len(latencies) < cls.min_ops or i % cls.round_size:
             inputs = workload.prepare(i)
-            if tracer:
+            timed = not workload.probe(i)
+            if tracer and timed:
                 tracer.phase = "ops"
             t0 = clock()
             outputs = workload.op(inputs)
             dt = clock() - t0
             if tracer:
                 tracer.phase = None
-            latencies.append(dt)
-            busy += dt
+            if timed:
+                latencies.append(dt)
+                busy += dt
             if workload.checked(i):
                 problems = workload.check(i, inputs, outputs)
                 if problems:
                     failed[i] = problems
+            if timed and len(latencies) == cls.min_ops:
+                rss = peak_rss_mb()
             i += 1
         for op, problems in workload.finish(i).items():
             failed.setdefault(op, []).extend(problems)
+        # A probe fails the same way every round: its first failure is shown.
+        probes = [op for op in sorted(failed) if workload.probe(op)]
         for op in sorted(failed):
-            for problem in failed[op]:
-                print(f"check failed: {problem}", file=log)
+            if op not in probes[1:]:
+                for problem in failed[op]:
+                    print(f"check failed: {problem}", file=sys.stderr)
+        if len(probes) > 1:
+            print(f"check failed: {len(probes)} probes in all", file=sys.stderr)
+        timed_ops = len(latencies)
         result.update(
             ops=i,
             failed=len(failed),
+            failed_probes=sum(workload.probe(op) for op in failed),
+            timed_ops=timed_ops,
             busy_s=busy,
-            ops_per_s=i / busy,
+            ops_per_s=timed_ops / busy,
             p50_ms=1e3 * float(np.median(latencies)),
             tail_pct=cls.tail,
             tail_ms=tail_ms(latencies, cls.tail),
-            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            peak_rss_mb=rss,
             env=environment(),
             notes=workload.notes(),
         )
         if tracer:
-            layers, missing = tracer.metrics(i)
+            layers, missing = tracer.metrics(timed_ops)
             layers["accel.sim_cycles"] = (float(workload.sim_cycles), "cycles")
             layers["trace.p50_ms"] = (result["p50_ms"], "ms")
             result["layers"] = {k: {"value": v, "unit": u} for k, (v, u) in layers.items()}
