@@ -3,16 +3,13 @@
     python3 -m perfbench.child --workload NAME --seed N --seconds S --trace 0|1 [--setup-only]
 
 ``perfbench/run.py`` starts it from the repository root with ``src`` and
-the root on ``PYTHONPATH``.  The clock starts before numpy and ``repro``
-are imported, so the reported set-up time includes the imports.
+the root on ``PYTHONPATH``.  Set-up time is this process's CPU time up to
+the first timed op, so it includes the interpreter's start and the
+imports of numpy and ``repro``.
 """
 
-import time
-
-STARTED = time.perf_counter()
-
-import argparse  # noqa: E402
-import json  # noqa: E402
+import argparse
+import json
 
 
 def main() -> None:
@@ -27,8 +24,7 @@ def main() -> None:
     from perfbench.workloads import run_workload
 
     result = run_workload(
-        args.workload, args.seed, args.seconds, bool(args.trace), STARTED,
-        setup_only=args.setup_only,
+        args.workload, args.seed, args.seconds, bool(args.trace), setup_only=args.setup_only,
     )
     print(json.dumps(result), flush=True)
 

@@ -7,8 +7,10 @@
 Each workload runs in fresh interpreters with one BLAS thread.  With
 ``--trace 0`` the workload is set up five times, in five processes, and
 ``setup_s`` is their median; the last process then times ops for
-``--seconds`` of op time (and at least the workload's ``min_ops``) and
-reports the end-to-end metrics.  With
+``--seconds`` of op wall time (and at least the workload's ``min_ops``)
+and reports the end-to-end metrics.  Times are the process's CPU time,
+which leaves out the time a shared virtual machine's hypervisor gives to
+other guests; the op wall time is printed beside it.  With
 ``--trace 1`` one process runs with the layer wrappers of
 ``perfbench/tracing.py`` installed and reports the per-layer metrics.
 Every metric is printed by name and unit; the last line of standard
@@ -98,6 +100,10 @@ def measure(workload: str, seed: int, seconds: float, trace: int, spec: dict) ->
             m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in spec["end_to_end"]
         }
         print(f"{workload}: tail_ms is p{result['tail_pct']}; set-up times {[round(s, 4) for s in setups]}")
+        print(f"{workload}: op CPU time {result['busy_s']:.2f} s in {result['wall_busy_s']:.2f} s "
+              f"of wall time; speed factor {result['speed']:.4f} from {result['calibrations']} "
+              f"calibrations; unscaled p50 {result['cpu_p50_ms']:.4g} ms CPU, "
+              f"{result['wall_p50_ms']:.4g} ms wall")
     print(f"{workload}: seed {seed}, environment {json.dumps(result['env'], sort_keys=True)}")
     if result.get("notes"):
         print(f"{workload}: notes {json.dumps(result['notes'], sort_keys=True)}")

@@ -6,7 +6,6 @@ import json
 import shutil
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +36,20 @@ def few_ops(monkeypatch):
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_each_workload_runs_at_tiny_length(name, few_ops):
-    result = workloads.run_workload(name, 7, TINY_SECONDS[name], False, time.perf_counter())
+    result = workloads.run_workload(name, 7, TINY_SECONDS[name], False)
     assert result["ops"] >= 1 and result["ops"] % workloads.WORKLOADS[name].round_size == 0
     # Every probe fails (hwsim's Mesorasi exactness probe); nothing else does.
     assert result["failed"] == result["failed_probes"] == result["ops"] - result["timed_ops"]
     for key in ("setup_s", "ops_per_s", "p50_ms", "tail_ms", "peak_rss_mb"):
         assert result[key] > 0, key
+    # Reported times are CPU times scaled by the run's calibrated speed.
+    assert result["p50_ms"] == pytest.approx(result["cpu_p50_ms"] * result["speed"])
+    assert result["ops_per_s"] == pytest.approx(result["timed_ops"] / (result["busy_s"] * result["speed"]))
 
 
 def test_traced_run_reports_every_per_layer_metric(few_ops):
     original = QueryService.submit
-    result = workloads.run_workload("serve", 3, 0.2, True, time.perf_counter())
+    result = workloads.run_workload("serve", 3, 0.2, True)
     names = {m["name"] for m in SPEC["per_layer"]}
     assert result["missing"] == []
     assert set(result["layers"]) == names
@@ -58,7 +60,7 @@ def test_traced_run_reports_every_per_layer_metric(few_ops):
 def test_missing_entry_point_is_reported_not_fatal(monkeypatch, few_ops):
     targets = dict(tracing.TARGETS, dyn_query=("repro.kdtree.dynamic", "DynamicKdTree.no_such_method"))
     monkeypatch.setattr(tracing, "TARGETS", targets)
-    result = workloads.run_workload("drift", 3, 0.2, True, time.perf_counter())
+    result = workloads.run_workload("drift", 3, 0.2, True)
     assert result["missing"] == ["kdtree.dynamic.query_ms"]
     assert "kdtree.dynamic.refresh_ms" in result["layers"]
 

@@ -172,7 +172,7 @@ class Tracer:
 
     def _wrap(self, key: str, fn: Callable) -> Callable:
         tracer = self
-        clock = time.perf_counter
+        clock = time.process_time  # CPU time, like the op times
 
         if key == "tree_for":
             # Counted as a hit when no tree build ran inside the call.

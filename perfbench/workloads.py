@@ -500,6 +500,44 @@ def environment() -> Dict[str, object]:
     }
 
 
+# ----------------------------------------------------------------------
+# Speed calibration.  The CPU of a shared virtual machine runs the same
+# code at speeds that differ by 10-20% from one minute, or one process, to
+# the next.  A fixed kernel that does not touch ``repro`` is timed between
+# ops; every time a run reports is scaled by CAL_REF_S / (the kernel's
+# median time in that run), i.e. expressed at the speed at which the
+# kernel takes CAL_REF_S.
+_CAL_RNG = np.random.default_rng(12345)
+_CAL_POINTS = _CAL_RNG.normal(size=(512, 3))
+_CAL_ORDER = [int(j) for j in _CAL_RNG.permutation(512)]
+CAL_REF_S = 1.3e-3  # the kernel's median CPU time on the reference machine
+CAL_EVERY_S = 0.02  # one kernel run per this much op CPU time
+CAL_SETUP_RUNS = 50  # kernel runs after each set-up
+
+
+def calibration_kernel() -> int:
+    """Small numpy calls and interpreter work, as in the program's hot
+    paths: distances, a partial sort and a Python loop over the result."""
+    total = 0
+    for j in _CAL_ORDER[:36]:
+        d = ((_CAL_POINTS - _CAL_POINTS[j]) ** 2).sum(axis=1)
+        near = np.argpartition(d, 16)[:16]
+        seen = {}
+        for k in near.tolist():
+            seen[k] = seen.get(k, 0) + 1
+        total += len(seen)
+    return total
+
+
+def calibrate(runs: int) -> List[float]:
+    times = []
+    for _ in range(runs):
+        c0 = time.process_time()
+        calibration_kernel()
+        times.append(time.process_time() - c0)
+    return times
+
+
 def tail_ms(latencies: Sequence[float], pct: int) -> float:
     return 1e3 * float(np.percentile(latencies, pct))
 
@@ -513,18 +551,22 @@ def run_workload(
     seed: int,
     seconds: float,
     trace: bool,
-    started: float,
     setup_only: bool = False,
 ) -> Dict[str, object]:
-    """Set up one workload, then time ops until ``seconds`` of op time and
-    at least ``min_ops`` timed ops, in whole rounds.
+    """Set up one workload, then time ops until ``seconds`` of op wall time
+    and at least ``min_ops`` timed ops, in whole rounds.
 
-    ``started`` is the clock reading at interpreter start, so set-up
-    includes imports.  Probe ops are run and checked but not timed.
-    Returns the run's raw figures; per-layer figures only when ``trace``
-    is set.
+    Times are CPU time of this process (``time.process_time``): set-up
+    from process start, so it includes the imports, and each op from its
+    start to its end.  On a shared virtual machine wall time also counts
+    the time the hypervisor gives to other guests (steal), which is not
+    the program's; the wall-time figures are returned beside them.  The
+    op times and set-up time are scaled to the reference speed of
+    ``calibration_kernel`` (see ``CAL_REF_S``).
+    Probe ops are run and checked but not timed.  Returns the run's raw
+    figures; per-layer figures only when ``trace`` is set.
     """
-    clock = time.perf_counter
+    cpu, wall = time.process_time, time.perf_counter
     cls = WORKLOADS[name]
     tracer: Optional[Tracer] = None
     if trace:
@@ -533,28 +575,41 @@ def run_workload(
         tracer.phase = "setup"
     try:
         workload = cls(seed)
-        setup_s = clock() - started
-        result: Dict[str, object] = {"workload": name, "seed": seed, "setup_s": setup_s}
+        setup_cpu_s = cpu()
+        setup_speed = CAL_REF_S / float(np.median(calibrate(CAL_SETUP_RUNS)))
+        result: Dict[str, object] = {
+            "workload": name, "seed": seed, "setup_s": setup_cpu_s * setup_speed,
+        }
         if setup_only:
             return result
         latencies: List[float] = []
+        wall_latencies: List[float] = []
         failed: Problems = {}
         busy = 0.0
+        wall_busy = 0.0
+        cal: List[float] = []
+        owed = 0.0  # op CPU time not yet followed by a calibration
         rss = 0.0
         i = 0
-        while busy < seconds or len(latencies) < cls.min_ops or i % cls.round_size:
+        while wall_busy < seconds or len(latencies) < cls.min_ops or i % cls.round_size:
             inputs = workload.prepare(i)
             timed = not workload.probe(i)
             if tracer and timed:
                 tracer.phase = "ops"
-            t0 = clock()
+            w0, c0 = wall(), cpu()
             outputs = workload.op(inputs)
-            dt = clock() - t0
+            dt, dw = cpu() - c0, wall() - w0
             if tracer:
                 tracer.phase = None
             if timed:
                 latencies.append(dt)
+                wall_latencies.append(dw)
                 busy += dt
+                wall_busy += dw
+                owed += dt
+                if owed >= CAL_EVERY_S:
+                    cal += calibrate(int(owed / CAL_EVERY_S))
+                    owed %= CAL_EVERY_S
             if workload.checked(i):
                 problems = workload.check(i, inputs, outputs)
                 if problems:
@@ -573,16 +628,22 @@ def run_workload(
         if len(probes) > 1:
             print(f"check failed: {len(probes)} probes in all", file=sys.stderr)
         timed_ops = len(latencies)
+        speed = CAL_REF_S / float(np.median(cal or calibrate(CAL_SETUP_RUNS)))
         result.update(
             ops=i,
             failed=len(failed),
             failed_probes=sum(workload.probe(op) for op in failed),
             timed_ops=timed_ops,
             busy_s=busy,
-            ops_per_s=timed_ops / busy,
-            p50_ms=1e3 * float(np.median(latencies)),
+            speed=speed,
+            calibrations=len(cal),
+            ops_per_s=timed_ops / (busy * speed),
+            p50_ms=1e3 * speed * float(np.median(latencies)),
             tail_pct=cls.tail,
-            tail_ms=tail_ms(latencies, cls.tail),
+            tail_ms=speed * tail_ms(latencies, cls.tail),
+            cpu_p50_ms=1e3 * float(np.median(latencies)),
+            wall_busy_s=wall_busy,
+            wall_p50_ms=1e3 * float(np.median(wall_latencies)),
             peak_rss_mb=rss,
             env=environment(),
             notes=workload.notes(),
